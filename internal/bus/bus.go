@@ -154,11 +154,15 @@ type Bus struct {
 	hyperArmed     bool
 	hyperRec       *hyperRecording
 	hyperMemos     map[uint64]*HyperMemo
+	// hyperCaptureDenied counts anchors declined because the hub refuses
+	// capture; resolved on first use so an unaffected bus exports no series.
+	hyperCaptureDenied *telemetry.Counter
 
 	// tel receives fast-path span events (EvFFSpan). The zero Probe is a
 	// no-op, so unwired buses pay one nil check per committed span — never
 	// per bit.
-	tel telemetry.Probe
+	tel     telemetry.Probe
+	telName string
 }
 
 // New creates an idle bus running at the given rate.
@@ -174,6 +178,8 @@ func (b *Bus) Rate() Rate { return b.rate }
 // sole-transmitter frame batch); a nil hub disables emission.
 func (b *Bus) SetTelemetry(hub *telemetry.Hub, name string) {
 	b.tel = hub.Probe(name)
+	b.telName = name
+	b.hyperCaptureDenied = nil
 }
 
 // Now returns the index of the next bit to be simulated.

@@ -241,6 +241,17 @@ func (b *Bus) tryHyperForward(end BitTime) bool {
 		return false
 	}
 	hub := b.tel.Hub()
+	// A hub that refuses capture can never let a recording start, so with
+	// no memo cached the anchor can neither hit nor record: decline before
+	// paying for every node's fingerprint.
+	if hub != nil && len(b.hyperMemos) == 0 && !hub.CaptureAllowed() {
+		if b.hyperCaptureDenied == nil {
+			b.hyperCaptureDenied = hub.Registry().Counter("michican_ff_decline_total",
+				"node", b.telName, "tier", "hyper", "reason", "capture_denied")
+		}
+		b.hyperCaptureDenied.Inc()
+		return false
+	}
 	h := uint64(14695981039346656037)
 	h = fnvMix(h, uint64(b.last))
 	h = fnvMix(h, uint64(b.idleRun))

@@ -12,6 +12,7 @@ import (
 	"michican/internal/can"
 	"michican/internal/controller"
 	"michican/internal/restbus"
+	"michican/internal/telemetry"
 	"michican/internal/trace"
 )
 
@@ -64,13 +65,10 @@ type hyperProbe struct {
 	hyperBitsAt         int64
 }
 
-// runHyperScenario replays the harmonic matrix alongside two pure-receiver
-// controllers (so a receiver still ACKs after one leaves), optionally
-// mutating the node set at bit mutateAt (a Run boundary), and returns the
-// resolved trace plus the surviving nodes' counters. The hyper arm uses
-// production wiring: the chain target is the matrix's schedule hyperperiod.
-func runHyperScenario(t *testing.T, mode diffMode, total, mutateAt int64,
-	mutate func(bb *bus.Bus, leaver *controller.Controller, ctls *[]*controller.Controller)) (hyperOutcome, *bus.Bus) {
+// newHyperBus builds a bus stepping in the given mode and the harmonic
+// matrix's replayer (not yet attached). The hyper arm uses production
+// wiring: the chain target is the matrix's schedule hyperperiod.
+func newHyperBus(t *testing.T, mode diffMode) (*bus.Bus, *restbus.Replayer) {
 	t.Helper()
 	matrix := harmonicMatrix()
 	bb := bus.New(bus.Rate50k)
@@ -86,7 +84,17 @@ func runHyperScenario(t *testing.T, mode diffMode, total, mutateAt int64,
 		}
 		bb.SetHyperChainBits(h)
 	}
-	rep := restbus.NewReplayer("restbus", matrix, bus.Rate50k, rand.New(rand.NewSource(11)))
+	return bb, restbus.NewReplayer("restbus", matrix, bus.Rate50k, rand.New(rand.NewSource(11)))
+}
+
+// runHyperScenario replays the harmonic matrix alongside two pure-receiver
+// controllers (so a receiver still ACKs after one leaves), optionally
+// mutating the node set at bit mutateAt (a Run boundary), and returns the
+// resolved trace plus the surviving nodes' counters.
+func runHyperScenario(t *testing.T, mode diffMode, total, mutateAt int64,
+	mutate func(bb *bus.Bus, leaver *controller.Controller, ctls *[]*controller.Controller)) (hyperOutcome, *bus.Bus) {
+	t.Helper()
+	bb, rep := newHyperBus(t, mode)
 	bb.Attach(rep)
 	leaver := controller.New(controller.Config{Name: "leaver", AutoRecover: true})
 	bb.Attach(leaver)
@@ -260,4 +268,108 @@ func TestHyperMemoInvalidationOnDetach(t *testing.T) {
 		t.Errorf("hyper path never re-engaged after the detach (%d bits, %d before)", got, probe.hyperBitsAt)
 	}
 	compareHyperOutcome(t, "exact vs hyper-ff with mid-hyperperiod detach", exact, hyper)
+}
+
+// fpCountingReplayer counts the bus's HyperFP calls on a replayer. Embedding
+// keeps every other capability of the replayer, so the bus sees the same
+// node.
+type fpCountingReplayer struct {
+	*restbus.Replayer
+	calls int
+}
+
+func (r *fpCountingReplayer) HyperFP(now bus.BitTime, hub *telemetry.Hub) (uint64, bool) {
+	r.calls++
+	return r.Replayer.HyperFP(now, hub)
+}
+
+// hubHyperRun is one arm of the capture-decline differential.
+type hubHyperRun struct {
+	out      hyperOutcome
+	bb       *bus.Bus
+	counters telemetry.CounterSnapshot
+	fpCalls  int
+}
+
+// runHyperHubScenario replays the harmonic matrix with a receiver on a bus
+// whose every node reports into hub, so the hyper tier's capture policy is
+// the hub's. The replayer is attached first, so it is fingerprinted first
+// at every anchor.
+func runHyperHubScenario(t *testing.T, mode diffMode, hub *telemetry.Hub) hubHyperRun {
+	t.Helper()
+	bb, rep := newHyperBus(t, mode)
+	bb.SetTelemetry(hub, "bus")
+	rep.SetTelemetry(hub)
+	counting := &fpCountingReplayer{Replayer: rep}
+	bb.Attach(counting)
+	rx := controller.New(controller.Config{Name: "rx", AutoRecover: true})
+	rx.SetTelemetry(hub)
+	bb.Attach(rx)
+	rec := trace.NewRecorder()
+	bb.AttachTap(rec)
+	bb.Run(hyperTestTotal)
+
+	run := hubHyperRun{bb: bb, counters: hub.Registry().SnapshotCounters(), fpCalls: counting.calls}
+	run.out.Bits = rec.Bits()
+	for _, c := range []*controller.Controller{rep.Controller(), rx} {
+		st := c.Stats()
+		run.out.TEC = append(run.out.TEC, c.TEC())
+		run.out.REC = append(run.out.REC, c.REC())
+		run.out.TxSuccess = append(run.out.TxSuccess, st.TxSuccess)
+		run.out.RxFrames = append(run.out.RxFrames, st.RxSuccess)
+	}
+	return run
+}
+
+// busTiers reads a bus's per-tier forwarded-bit counters.
+func busTiers(bb *bus.Bus) [5]int64 {
+	return [5]int64{bb.IdleForwardedBits(), bb.FrameForwardedBits(),
+		bb.ContendForwardedBits(), bb.SpliceForwardedBits(), bb.HyperForwardedBits()}
+}
+
+// TestHyperDeclineCaptureDenied pins the hyper tier's early decline: on a
+// hub that refuses capture, no memo can ever be recorded or hit, so the bus
+// must decline every anchor before fingerprinting a single node, count the
+// decline on the bus node, and otherwise behave exactly as the hyper tier
+// always has there — which is the splice-ff ladder, bit for bit and counter
+// for counter. With capture allowed the tier still records and replays.
+func TestHyperDeclineCaptureDenied(t *testing.T) {
+	exact := runHyperHubScenario(t, diffExact, telemetry.NewHub())
+	splice := runHyperHubScenario(t, diffSpliceFF, telemetry.NewHub())
+	denied := runHyperHubScenario(t, diffHyperFF, telemetry.NewHub())
+
+	if denied.fpCalls != 0 {
+		t.Errorf("capture-denied hyper arm fingerprinted the replayer %d times, want 0", denied.fpCalls)
+	}
+	const declineKey = `michican_ff_decline_total{node="bus",reason="capture_denied",tier="hyper"}`
+	if denied.counters[declineKey] == 0 {
+		t.Errorf("capture-denied hyper arm counted no %s", declineKey)
+	}
+	delete(denied.counters, declineKey)
+	if !reflect.DeepEqual(denied.counters, splice.counters) {
+		t.Errorf("hub counters diverge from the splice-ff arm:\n%v\nvs\n%v", denied.counters, splice.counters)
+	}
+	if got, want := busTiers(denied.bb), busTiers(splice.bb); got != want {
+		t.Errorf("bus tier bits (idle, frame, contend, splice, hyper) = %v, splice-ff arm %v", got, want)
+	}
+	if splice.bb.SpliceForwardedBits() == 0 {
+		t.Error("splice fast path never engaged — the differential is vacuous")
+	}
+	compareHyperOutcome(t, "exact vs capture-denied hyper-ff", exact.out, denied.out)
+	compareHyperOutcome(t, "splice-ff vs capture-denied hyper-ff", splice.out, denied.out)
+
+	hub := telemetry.NewHub()
+	hub.AllowCapture(true)
+	allowed := runHyperHubScenario(t, diffHyperFF, hub)
+	if allowed.fpCalls == 0 {
+		t.Error("capture-allowed hyper arm never fingerprinted an anchor")
+	}
+	if allowed.bb.HyperMemoCount() == 0 || allowed.bb.HyperForwardedBits() == 0 {
+		t.Errorf("capture-allowed hyper arm: %d memos, %d hyper bits — want both > 0",
+			allowed.bb.HyperMemoCount(), allowed.bb.HyperForwardedBits())
+	}
+	if _, ok := allowed.counters[declineKey]; ok {
+		t.Errorf("capture-allowed hyper arm exported %s", declineKey)
+	}
+	compareHyperOutcome(t, "exact vs capture-allowed hyper-ff", exact.out, allowed.out)
 }

@@ -71,6 +71,8 @@ func ffPathName(code int64) string {
 		return "contend"
 	case 3:
 		return "splice"
+	case 4:
+		return "hyper"
 	default:
 		return "idle"
 	}

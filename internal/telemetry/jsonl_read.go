@@ -48,6 +48,8 @@ func ffPathCode(name string) int64 {
 		return 2
 	case "splice":
 		return 3
+	case "hyper":
+		return 4
 	default:
 		return 0
 	}

@@ -83,11 +83,10 @@ func TestSequencerOrderUnderSubscriberChurn(t *testing.T) {
 }
 
 // TestReadJSONLRoundTripEveryKind writes one event of every kind — including
-// every EvFFSpan path (idle, frame, contend, splice), both EvError roles, and
-// every error-kind code — through WriteJSONL and parses it back, asserting a
-// lossless round trip. This is the encoder/decoder pairing the durable
-// store's replay path depends on; the splice path had no decoder case before
-// this PR.
+// every EvFFSpan path (idle, frame, contend, splice, hyper), both EvError
+// roles, and every error-kind code — through WriteJSONL and parses it back,
+// asserting a lossless round trip. This is the encoder/decoder pairing the
+// durable store's replay path depends on.
 func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 	h := NewHub()
 	p := h.Probe("node")
@@ -110,7 +109,7 @@ func TestReadJSONLRoundTripEveryKind(t *testing.T) {
 	emit(EvREC, 1, 2)
 	emit(EvBusOff, 0, 0)
 	emit(EvRecover, 0, 0)
-	for path := int64(0); path <= 3; path++ { // idle, frame, contend, splice
+	for path := int64(0); path <= 4; path++ { // idle, frame, contend, splice, hyper
 		emit(EvFFSpan, 100+path, path)
 	}
 	emit(EvTxStart, 0x173, 0)

@@ -196,7 +196,7 @@ type Hub struct {
 	// hub hears exactly one simulation (one bus and its nodes) — a shared hub
 	// would pollute the tape with foreign events — so it is deny-by-default
 	// and must be opted in with AllowCapture.
-	captureOK bool
+	captureOK atomic.Bool // read lock-free on every hyper anchor
 	capturing bool
 	capture   []Event
 }
@@ -376,9 +376,7 @@ func (h *Hub) AllowCapture(on bool) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	h.captureOK = on
-	h.mu.Unlock()
+	h.captureOK.Store(on)
 }
 
 // CaptureAllowed reports whether AllowCapture(true) was called.
@@ -386,9 +384,7 @@ func (h *Hub) CaptureAllowed() bool {
 	if h == nil {
 		return false
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.captureOK
+	return h.captureOK.Load()
 }
 
 // StartCapture begins recording every emitted event (except EvFFSpan and
@@ -403,7 +399,7 @@ func (h *Hub) StartCapture() bool {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.captureOK {
+	if !h.captureOK.Load() {
 		return false
 	}
 	h.capturing = true

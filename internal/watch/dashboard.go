@@ -23,11 +23,11 @@ type DashboardVehicle struct {
 // assembles it from lock-free mirrors (fleet.Vehicles, FleetCollector
 // snapshots) so rendering never stalls a worker.
 type DashboardData struct {
-	Title     string
-	Elapsed   time.Duration
+	Title      string
+	Elapsed    time.Duration
 	BitsPerSec float64
-	Vehicles  []DashboardVehicle
-	View      FleetAlertView
+	Vehicles   []DashboardVehicle
+	View       FleetAlertView
 }
 
 // ANSI fragments for the dashboard. Kept as plain constants so tests can
