@@ -167,10 +167,13 @@ func TestTelemetryIntegrationSpoof(t *testing.T) {
 	}
 }
 
+// telemetryWirer is what a throughput-scenario participant must expose to be
+// wired into a hub after construction.
+type telemetryWirer interface{ SetTelemetry(*telemetry.Hub) }
+
 // BenchmarkFrameFFTelemetry measures the frame-fast-path scenario with the
 // telemetry layer disabled (zero probes, one nil check per emit site) and
-// with a metrics-only hub — the numbers behind the <2% disabled-path claim
-// and the CI overhead guard.
+// with a metrics-only hub — the numbers behind the <2% disabled-path claim.
 func BenchmarkFrameFFTelemetry(b *testing.B) {
 	for _, mode := range []struct {
 		name string

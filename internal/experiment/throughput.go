@@ -97,8 +97,9 @@ func ThroughputScenario(target float64, mode SteppingMode) (*bus.Bus, error) {
 }
 
 // throughputScenario is the full-fidelity constructor: it also returns the
-// attached nodes so callers (the telemetry-overhead guard) can wire them into
-// a hub after construction.
+// attached nodes so callers (BenchmarkFrameFFTelemetry) can wire them into a
+// hub after construction. The marginal cost of a wired hub on the full stack
+// is reported by `bash perfbench/run.sh --trace 1`.
 func throughputScenario(target float64, mode SteppingMode) (*bus.Bus, []bus.Node, error) {
 	return throughputScenarioSeeded(target, mode, 1)
 }

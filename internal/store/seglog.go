@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -39,28 +38,20 @@ const (
 	recAlert    = 3
 )
 
-// segIndex is the sidecar written when a segment seals: enough to answer
-// window queries without reading the segment and to sanity-check recovery.
-type segIndex struct {
-	Records   int64 `json:"records"`
-	Bytes     int64 `json:"bytes"`
-	FirstTime int64 `json:"first_time"`
-	LastTime  int64 `json:"last_time"`
-}
-
-// segment is one on-disk segment file of a segLog.
+// segment is one on-disk segment file of a segLog. The event-time bounds let
+// window queries skip the segment without reading it; they are rebuilt from
+// the segment bytes on open.
 type segment struct {
 	seq     int
 	records int64
 	bytes   int64
 	firstT  int64
 	lastT   int64
-	sealed  bool
 }
 
 // segLog is an append-only, CRC-framed, segmented record log. The active
 // (last) segment takes appends through a buffered writer; when an append
-// would push it past segBytes it seals — index written, file synced — and a
+// would push it past segBytes it seals — flushed, synced, closed — and a
 // new segment opens. Roll decisions are made per record against cumulative
 // byte counts, so the segment layout is a pure function of the record stream
 // and never depends on flush or sync cadence; that is what lets a resumed
@@ -79,9 +70,7 @@ type segLog struct {
 }
 
 func segName(prefix string, seq int) string { return fmt.Sprintf("%s-%06d.seg", prefix, seq) }
-func idxName(prefix string, seq int) string { return fmt.Sprintf("%s-%06d.idx", prefix, seq) }
 func (l *segLog) segPath(seq int) string    { return filepath.Join(l.dir, segName(l.prefix, seq)) }
-func (l *segLog) idxPath(seq int) string    { return filepath.Join(l.dir, idxName(l.prefix, seq)) }
 
 // newSegLog creates an empty log with its first segment open.
 func newSegLog(dir, prefix string, segBytes int64) (*segLog, error) {
@@ -119,26 +108,22 @@ func openSegLog(dir, prefix string, segBytes int64) (*segLog, error) {
 		return l, nil
 	}
 	torn := false
-	for i, seq := range seqs {
+	for _, seq := range seqs {
 		if torn {
 			// Everything after a torn segment is unreachable garbage from a
 			// crash mid-roll; drop it.
 			os.Remove(l.segPath(seq))
-			os.Remove(l.idxPath(seq))
 			continue
 		}
 		seg, tornHere, err := l.scanSegment(seq)
 		if err != nil {
 			return nil, err
 		}
-		seg.sealed = i < len(seqs)-1 && !tornHere
 		l.segs = append(l.segs, seg)
 		l.count += seg.records
 		torn = tornHere
 	}
 	last := &l.segs[len(l.segs)-1]
-	last.sealed = false
-	os.Remove(l.idxPath(last.seq)) // the reopened tail is active again
 	f, err := os.OpenFile(l.segPath(last.seq), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -235,7 +220,7 @@ func (l *segLog) openSegment(seq int) error {
 	return nil
 }
 
-// seal closes the active segment: flush, fsync, index sidecar.
+// seal closes the active segment: flush, fsync, close.
 func (l *segLog) seal() error {
 	if err := l.bw.Flush(); err != nil {
 		return err
@@ -243,20 +228,7 @@ func (l *segLog) seal() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		return err
-	}
-	a := l.active
-	a.sealed = true
-	idx, err := json.Marshal(segIndex{Records: a.records, Bytes: a.bytes, FirstTime: a.firstT, LastTime: a.lastT})
-	if err != nil {
-		return err
-	}
-	// The index sidecar is a derived summary, never load-bearing: recovery
-	// rescans the segment bytes and deletes stale sidecars. A plain write
-	// keeps segment rolls from paying a second fsync + rename for a file a
-	// crash is allowed to tear.
-	return os.WriteFile(l.idxPath(a.seq), append(idx, '\n'), 0o644)
+	return l.f.Close()
 }
 
 // append frames and writes one record, rolling the active segment first when
@@ -355,12 +327,9 @@ func (l *segLog) truncate(n int64) error {
 		if err := os.Remove(l.segPath(s.seq)); err != nil {
 			return err
 		}
-		os.Remove(l.idxPath(s.seq))
 	}
 	l.segs = l.segs[:cut+1]
 	seg := &l.segs[cut]
-	os.Remove(l.idxPath(seg.seq))
-	seg.sealed = false
 	// Re-scan the kept prefix for the byte offset and time bounds.
 	off, firstT, lastT, err := l.offsetOfRecord(seg.seq, keep)
 	if err != nil {

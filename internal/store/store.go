@@ -108,8 +108,8 @@ type Stats struct {
 }
 
 // Store is one durable run directory: meta.json, rolling events-NNNNNN.seg
-// segments (with .idx sidecars once sealed), an incidents log, and
-// checkpoint-NNNNNNNN.json files. All methods are safe for concurrent use.
+// segments, incidents and alerts logs, and checkpoint-NNNNNNNN.json files.
+// All methods are safe for concurrent use.
 type Store struct {
 	dir  string
 	meta Meta
@@ -441,7 +441,8 @@ func (s *Store) Events(fn func(telemetry.NamedEvent) error) error {
 }
 
 // EventsInWindow streams stored events whose bit time lies in [from, to],
-// using sealed-segment indexes to skip segments wholly outside the window.
+// using each segment's event-time bounds to skip segments wholly outside
+// the window.
 func (s *Store) EventsInWindow(from, to int64, fn func(telemetry.NamedEvent) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

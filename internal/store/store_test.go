@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"michican/internal/telemetry"
@@ -92,16 +93,23 @@ func TestSegmentRollSealAndWindowSkip(t *testing.T) {
 	if st.SegmentsSealed < 5 {
 		t.Fatalf("expected many sealed segments with 512-byte rolls, got %d", st.SegmentsSealed)
 	}
-	idx, _ := filepath.Glob(filepath.Join(dir, "events-*.idx"))
-	if int64(len(idx)) != st.SegmentsSealed {
-		t.Fatalf("idx sidecars = %d, sealed = %d", len(idx), st.SegmentsSealed)
-	}
 	// A narrow window returns exactly the in-range events, in order.
 	times := collectTimes(t, s, 5000, 7000)
 	if len(times) != 21 || times[0] != 5000 || times[20] != 7000 {
 		t.Fatalf("window [5000,7000]: len=%d bounds=%v..%v", len(times), times[0], times[len(times)-1])
 	}
 	s.Close()
+	// Window skipping runs off in-memory segment bounds; sealing a segment
+	// writes no sidecar beside it.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "meta.json" && filepath.Ext(e.Name()) != ".seg" {
+			t.Errorf("store wrote %s beside its segments", e.Name())
+		}
+	}
 }
 
 func TestLayoutIndependentOfFlushCadence(t *testing.T) {
@@ -277,6 +285,62 @@ func TestCheckpointTruncateResumePoint(t *testing.T) {
 	}
 	// Re-appending the same tail reproduces the same layout as a run that
 	// never had the extra records truncated.
+	appendN(t, s2, 120, 80)
+	s2.Close()
+
+	ref, err := Create(t.TempDir(), Meta{Kind: "test", SegmentBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, ref, 0, 200)
+	ref.Close()
+	assertSameSegments(t, dir, ref.Dir())
+}
+
+// TestStaleIdxSidecarsIgnored opens a store directory as older versions
+// left it, with an events-NNNNNN.idx sidecar beside every segment: it must
+// still open, resume and truncate, and its segments must come out
+// byte-identical to a store that never had sidecars.
+func TestStaleIdxSidecarsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Create(dir, Meta{Kind: "test", SegmentBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 0, 120)
+	if _, err := s.WriteCheckpoint(Checkpoint{TimeBits: 11900, Events: 120}); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 120, 80)
+	s.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "events-*.seg"))
+	if len(segs) < 3 {
+		t.Fatalf("need >=3 segments for this test, got %d", len(segs))
+	}
+	for _, seg := range segs {
+		idx := strings.TrimSuffix(seg, "seg") + "idx"
+		if err := os.WriteFile(idx, []byte(`{"records":1,"bytes":1,"first_time":0,"last_time":0}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open with stale sidecars: %v", err)
+	}
+	if n := s2.EventCount(); n != 200 {
+		t.Fatalf("EventCount = %d, want 200", n)
+	}
+	cp, err := s2.LatestCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.TruncateTo(cp); err != nil {
+		t.Fatal(err)
+	}
+	if times := collectTimes(t, s2, 0, 1<<62); len(times) != 120 || times[119] != 11900 {
+		t.Fatalf("replay after truncate: %d events", len(times))
+	}
 	appendN(t, s2, 120, 80)
 	s2.Close()
 
