@@ -63,8 +63,9 @@ type segLog struct {
 
 	segs   []segment
 	f      *os.File
-	bw     *bufio.Writer
-	active *segment // == &segs[len(segs)-1]
+	bw     *bufio.Writer // one per log, Reset onto each segment file
+	active *segment      // == &segs[len(segs)-1]
+	rec    []byte        // framing buffer append reuses for every record
 
 	count int64 // records across all segments
 }
@@ -128,7 +129,8 @@ func openSegLog(dir, prefix string, segBytes int64) (*segLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.f, l.bw, l.active = f, bufio.NewWriterSize(f, 64<<10), last
+	l.attach(f)
+	l.active = last
 	return l, nil
 }
 
@@ -215,9 +217,22 @@ func (l *segLog) openSegment(seq int) error {
 		return err
 	}
 	l.segs = append(l.segs, segment{seq: seq, firstT: -1, lastT: -1})
-	l.f, l.bw = f, bufio.NewWriterSize(f, 64<<10)
+	l.attach(f)
 	l.active = &l.segs[len(l.segs)-1]
 	return nil
+}
+
+// attach makes f the file appends go to. The log's write buffer is allocated
+// once and Reset onto each later file: at fast-forward event rates a 1 MiB
+// segment rolls many times a second, and a 64 KiB buffer per segment would
+// be steady garbage. Callers flush the buffer before they switch files.
+func (l *segLog) attach(f *os.File) {
+	l.f = f
+	if l.bw == nil {
+		l.bw = bufio.NewWriterSize(f, 64<<10)
+		return
+	}
+	l.bw.Reset(f)
 }
 
 // seal closes the active segment: flush, fsync, close.
@@ -243,20 +258,14 @@ func (l *segLog) append(typ byte, payload []byte, t int64) (int64, error) {
 			return 0, err
 		}
 	}
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	crc := crc32.ChecksumIEEE(hdr[4:5])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var tr [recTrailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], crc)
-	if _, err := l.bw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := l.bw.Write(payload); err != nil {
-		return 0, err
-	}
-	if _, err := l.bw.Write(tr[:]); err != nil {
+	// Frame the whole record in the reused buffer so it costs one CRC pass
+	// over [type|payload] and one buffered write, with nothing allocated.
+	r := binary.LittleEndian.AppendUint32(l.rec[:0], uint32(1+len(payload)))
+	r = append(r, typ)
+	r = append(r, payload...)
+	r = binary.LittleEndian.AppendUint32(r, crc32.ChecksumIEEE(r[4:]))
+	l.rec = r
+	if _, err := l.bw.Write(r); err != nil {
 		return 0, err
 	}
 	a := l.active
@@ -343,7 +352,8 @@ func (l *segLog) truncate(n int64) error {
 	if err != nil {
 		return err
 	}
-	l.f, l.bw, l.active = f, bufio.NewWriterSize(f, 64<<10), seg
+	l.attach(f)
+	l.active = seg
 	l.count = cum + keep
 	return nil
 }

@@ -92,7 +92,6 @@ type SinkOptions struct {
 // are not guaranteed to persist, exactly as a crash would drop them.
 type Sink struct {
 	st   *Store
-	hub  *telemetry.Hub
 	opts SinkOptions
 
 	cancel func()
@@ -112,7 +111,7 @@ type Sink struct {
 	// AppendIncidents, Close, Err) take it between batches.
 	mu    sync.Mutex
 	seq   telemetry.Sequencer
-	names map[telemetry.NodeID]string
+	names telemetry.NodeNames
 	enc   []byte
 
 	evHash       uint64 // FNV-1a over appended (or skipped) event payloads, canonical order
@@ -159,13 +158,12 @@ func NewSink(st *Store, hub *telemetry.Hub, opts SinkOptions) *Sink {
 	}
 	s := &Sink{
 		st:           st,
-		hub:          hub,
 		opts:         opts,
 		inBuf:        make([]telemetry.Event, 0, sinkBatchEvents),
 		work:         make(chan sinkBatch, sinkQueueBatches),
 		free:         make(chan []telemetry.Event, sinkQueueBatches+1),
 		done:         make(chan struct{}),
-		names:        make(map[telemetry.NodeID]string),
+		names:        telemetry.NodeNames{Hub: hub},
 		evHash:       fnvOffset64,
 		incHash:      fnvOffset64,
 		alertHash:    fnvOffset64,
@@ -246,11 +244,7 @@ func (s *Sink) barrier() {
 func (s *Sink) writer() {
 	defer close(s.done)
 	for b := range s.work {
-		s.mu.Lock()
-		for _, ev := range b.evs {
-			s.seq.Add(ev)
-		}
-		s.mu.Unlock()
+		s.persist(b.evs)
 		if b.evs != nil {
 			select {
 			case s.free <- b.evs[:0]:
@@ -260,6 +254,16 @@ func (s *Sink) writer() {
 		if b.done != nil {
 			close(b.done)
 		}
+	}
+}
+
+// persist runs one handed-off batch through the sequencer, whose releases
+// encode, hash and append each event in canonical order.
+func (s *Sink) persist(evs []telemetry.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ev := range evs {
+		s.seq.Add(ev)
 	}
 }
 
@@ -285,12 +289,7 @@ func (s *Sink) release(ev telemetry.Event) {
 	if s.err != nil {
 		return
 	}
-	name, ok := s.names[ev.Node]
-	if !ok {
-		name = s.hub.NodeName(ev.Node)
-		s.names[ev.Node] = name
-	}
-	s.enc = telemetry.AppendEventJSON(s.enc[:0], name, ev)
+	s.enc = telemetry.AppendEventJSON(s.enc[:0], s.names.Name(ev.Node), ev)
 	s.evHash = hashPayload(s.evHash, s.enc)
 	if s.skippedEv < s.opts.SkipEvents {
 		// Resume: this event is already durable from the interrupted run.

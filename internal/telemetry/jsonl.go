@@ -51,16 +51,6 @@ func (h *Hub) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeEventJSON renders one event plus its newline. Kept as the internal
-// convenience the streaming exporters use; AppendEventJSON is the canonical
-// encoder.
-func writeEventJSON(w *bufio.Writer, node string, ev Event) error {
-	buf := AppendEventJSON(make([]byte, 0, 96), node, ev)
-	buf = append(buf, '\n')
-	_, err := w.Write(buf)
-	return err
-}
-
 // ffPathName names an EvFFSpan B-argument path code as it appears in the
 // JSONL stream.
 func ffPathName(code int64) string {
@@ -88,23 +78,9 @@ func AppendEventJSON(dst []byte, node string, ev Event) []byte {
 	dst = append(dst, `{"t":`...)
 	dst = strconv.AppendInt(dst, ev.Time, 10)
 	dst = append(dst, `,"node":`...)
-	dst = strconv.AppendQuote(dst, node)
+	dst = appendQuoted(dst, node)
 	dst = append(dst, `,"event":`...)
-	dst = strconv.AppendQuote(dst, ev.Kind.String())
-	appendHexID := func(dst []byte, id int64) []byte {
-		dst = append(dst, `,"id":"0x`...)
-		hex := strconv.FormatInt(id, 16)
-		for i := len(hex); i < 3; i++ {
-			dst = append(dst, '0')
-		}
-		for _, c := range hex {
-			if c >= 'a' && c <= 'f' {
-				c -= 'a' - 'A'
-			}
-			dst = append(dst, byte(c))
-		}
-		return append(dst, '"')
-	}
+	dst = appendQuoted(dst, ev.Kind.String())
 	switch ev.Kind {
 	case EvArbWon, EvTxStart, EvTxSuccess:
 		dst = appendHexID(dst, ev.A)
@@ -119,7 +95,7 @@ func AppendEventJSON(dst []byte, node string, ev Event) []byte {
 		dst = strconv.AppendInt(dst, ev.A, 10)
 	case EvError:
 		dst = append(dst, `,"kind":`...)
-		dst = strconv.AppendQuote(dst, ErrorKindName(ev.A))
+		dst = appendQuoted(dst, ErrorKindName(ev.A))
 		dst = append(dst, `,"role":`...)
 		if ev.B != 0 {
 			dst = append(dst, `"tx"`...)
@@ -135,7 +111,7 @@ func AppendEventJSON(dst []byte, node string, ev Event) []byte {
 		dst = append(dst, `,"bits":`...)
 		dst = strconv.AppendInt(dst, ev.A, 10)
 		dst = append(dst, `,"path":`...)
-		dst = strconv.AppendQuote(dst, ffPathName(ev.B))
+		dst = appendQuoted(dst, ffPathName(ev.B))
 	case EvAlert:
 		dst = append(dst, `,"rule":`...)
 		dst = strconv.AppendInt(dst, ev.A, 10)
@@ -149,4 +125,39 @@ func AppendEventJSON(dst []byte, node string, ev Event) []byte {
 		// No arguments.
 	}
 	return append(dst, '}')
+}
+
+// appendQuoted appends s as a quoted string, byte for byte what
+// strconv.AppendQuote gives. Every name the encoder writes is printable ASCII
+// with no quote or backslash in practice — the fixed kind, error-kind and
+// path names, and the node names the simulator registers — and those need no
+// escaping, so they are copied as they are; anything else takes
+// strconv.AppendQuote.
+func appendQuoted(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendHexID appends a CAN ID field: at least three uppercase hex digits,
+// zero-padded on the left. The digits are formatted into a stack array.
+func appendHexID(dst []byte, id int64) []byte {
+	dst = append(dst, `,"id":"0x`...)
+	var digits [24]byte
+	hex := strconv.AppendInt(digits[:0], id, 16)
+	for i := len(hex); i < 3; i++ {
+		dst = append(dst, '0')
+	}
+	for _, c := range hex {
+		if c >= 'a' && c <= 'f' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return append(dst, '"')
 }

@@ -126,8 +126,8 @@ type JSONLStreamer struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
 	seq    Sequencer
-	hub    *Hub
-	names  map[NodeID]string
+	names  NodeNames
+	line   []byte // reused encode buffer
 	cancel func()
 	err    error
 }
@@ -135,7 +135,7 @@ type JSONLStreamer struct {
 // StreamJSONL subscribes to the hub and streams every event to w in
 // canonical bit-time order (the same order WriteJSONL produces).
 func StreamJSONL(w io.Writer, h *Hub) *JSONLStreamer {
-	s := &JSONLStreamer{bw: bufio.NewWriter(w), hub: h, names: make(map[NodeID]string)}
+	s := &JSONLStreamer{bw: bufio.NewWriter(w), names: NodeNames{Hub: h}}
 	s.seq.Emit = s.write
 	s.cancel = h.Subscribe(func(ev Event) {
 		s.mu.Lock()
@@ -151,12 +151,9 @@ func (s *JSONLStreamer) write(ev Event) {
 	if s.err != nil {
 		return
 	}
-	name, ok := s.names[ev.Node]
-	if !ok {
-		name = s.hub.NodeName(ev.Node)
-		s.names[ev.Node] = name
-	}
-	s.err = writeEventJSON(s.bw, name, ev)
+	s.line = AppendEventJSON(s.line[:0], s.names.Name(ev.Node), ev)
+	s.line = append(s.line, '\n')
+	_, s.err = s.bw.Write(s.line)
 }
 
 // Close unsubscribes, flushes the reorder window and the write buffer, and

@@ -293,6 +293,27 @@ func (h *Hub) NodeName(id NodeID) string {
 	return h.names[id]
 }
 
+// NodeNames resolves NodeIDs to a hub's node names by index, for the
+// consumers that name every event they encode. It keeps a copy of the hub's
+// name table and refreshes it only when an ID past its end arrives (IDs are
+// dense and a node registers before it emits), so a lookup takes neither the
+// hub lock nor a map probe. Not safe for concurrent use.
+type NodeNames struct {
+	Hub   *Hub
+	names []string
+}
+
+// Name returns the node's registered name ("" if the hub has no such node).
+func (n *NodeNames) Name(id NodeID) string {
+	if int(id) >= len(n.names) {
+		n.names = n.Hub.Nodes()
+	}
+	if id < 0 || int(id) >= len(n.names) {
+		return ""
+	}
+	return n.names[id]
+}
+
 // Nodes returns the registered node names in registration order.
 func (h *Hub) Nodes() []string {
 	if h == nil {
