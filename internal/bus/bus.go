@@ -223,6 +223,9 @@ func (b *Bus) Attach(n Node) {
 	b.hyperDivert()
 }
 
+// Nodes returns the attached nodes in attach order.
+func (b *Bus) Nodes() []Node { return append([]Node(nil), b.nodes...) }
+
 // Detach removes a node from the bus. It reports whether the node was found.
 func (b *Bus) Detach(n Node) bool {
 	for i, node := range b.nodes {

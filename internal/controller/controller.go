@@ -216,13 +216,14 @@ type Controller struct {
 	// planSlots is a direct-mapped front cache over planCache: the map probe
 	// hashes the full frame content on every lookup, which dominates the
 	// compiled-splice offer path, so hot frames are also indexed by a cheap
-	// hash and verified by value comparison. Lazily sized; misses fall
-	// through to the map.
+	// hash and verified by value comparison. Sized to its live entries
+	// (planLive; see putPlanSlot); misses fall through to the map.
 	planSlots []*txPlan
+	planLive  int
 	// rxSpanCache memoizes the receive pipeline's end state per committed
 	// span (see rxRun); adoption copies the snapshot into the controller's
 	// own working buffers, so the cached slices are never aliased.
-	rxSpanCache []rxSpanSlot
+	rxSpanCache bus.SpanTable[*rxSnapshot]
 
 	// Receive pipeline, active for every frame on the bus from its SOF.
 	rxDestuf      can.Destuffer

@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"unsafe"
-
 	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/telemetry"
@@ -233,34 +231,6 @@ func leadingRecessive(levels []can.Level) int {
 	return len(levels)
 }
 
-// rxSpanSlot is one direct-mapped entry of the span cache. The span is
-// identified by the identity of its bits: plans are immutable once built and
-// memoized (planFor), so a span's backing array pointer plus its length pins
-// the exact level sequence — the stored strong pointer keeps the array
-// alive, so the address cannot be reused for different bits. A collision
-// simply evicts the previous entry.
-type rxSpanSlot struct {
-	ptr  *can.Level
-	snap *rxSnapshot
-	n    int32
-}
-
-// rxSpanSlotBits sizes the direct-mapped span cache (message set ×
-// rolling-counter rotation × the few clamped lengths each span recurs at).
-// Sized so a realistic matrix's full rotation (tens of IDs × 256 counter
-// values ≈ 8k identities) keeps the per-set load low: at 2^16 slots in
-// two-way sets, virtually no set holds three or more live identities, which
-// under round-robin rotation would otherwise defeat the LRU and redecode
-// those spans every cycle.
-const rxSpanSlotBits = 16
-
-// rxSpanIdx hashes a span identity into the cache.
-func rxSpanIdx(p *can.Level, n int) uint {
-	h := uintptr(unsafe.Pointer(p)) >> 3
-	h ^= h >> rxSpanSlotBits
-	return uint(h^uintptr(n)<<5) & (1<<rxSpanSlotBits - 1)
-}
-
 // rxSnapshot is the receive pipeline's complete state after consuming a
 // span from the post-SOF baseline. Both slices are stored with cap == len,
 // so a later append (a follow-up bit after a clamped span) reallocates and
@@ -304,45 +274,10 @@ func (c *Controller) rxRun(from bus.BitTime, levels []can.Level) {
 		c.rxRunSteps(from, levels)
 		return
 	}
-	if c.rxSpanCache == nil {
-		c.rxSpanCache = make([]rxSpanSlot, 1<<rxSpanSlotBits)
-	}
-	// Two-way set-associative probe (see rxSpanSlot): a sticky collision
-	// pair in a direct-mapped table would redecode the span every time.
-	idx := rxSpanIdx(&levels[0], len(levels)) &^ 1
-	slot := &c.rxSpanCache[idx]
-	if slot.ptr != &levels[0] || int(slot.n) != len(levels) {
-		alt := &c.rxSpanCache[idx|1]
-		if alt.ptr == &levels[0] && int(alt.n) == len(levels) {
-			*slot, *alt = *alt, *slot // promote the hit to the first way
-		} else {
-			slot = nil
-		}
-	}
-	if slot != nil {
-		s := slot.snap
-		c.rxDestuf = s.destuf
-		c.rxBits = append(c.rxBits[:0], s.bits...)
-		c.rxCRC = s.crc
-		c.rxDLC = s.dlc
-		c.rxCRCOK = s.crcOK
-		c.rxTrailer = s.trailer
-		c.rxLayout = s.layout
-		c.rxLayoutKnown = s.layoutKnown
-		c.rxRemote = s.remote
-		c.rxDataLen = s.dataLen
-		c.rxAwaitStuff = s.awaitStuff
-		c.rxFD = s.fd
-		c.rxFDKnown = s.fdKnown
-		*c.rxFDCRC17 = s.fdcrc17
-		*c.rxFDCRC21 = s.fdcrc21
-		c.rxDynStuff = s.dynStuff
-		c.rxFSIdx = s.fsIdx
-		c.rxFSBNext = s.fsbNext
-		c.rxFDCRCBits = append(c.rxFDCRCBits[:0], s.fdCRCBits...)
-		c.rxLastWire = s.lastWire
-		c.rxWire = s.wire
-		c.driveNext = s.driveNext
+	// Plans are immutable once built and memoized (planFor), so a span's
+	// first-level address plus its length pins the exact level sequence.
+	if hit := c.rxSpanCache.Get(&levels[0], uint32(len(levels))); hit != nil {
+		c.rxAdopt(*hit)
 		return
 	}
 	c.rxRunSteps(from, levels)
@@ -352,9 +287,14 @@ func (c *Controller) rxRun(from bus.BitTime, levels []can.Level) {
 	// Snapshot on the first sighting. Rolling payload counters make a span
 	// recur only once per full rotation, so a recurrence filter ("snapshot on
 	// the second decode") would redecode every one of the rotation's ~8k span
-	// identities each cycle; at 2^16 two-way slots, a wasted snapshot for a
-	// genuinely one-shot span costs one small allocation and an eviction.
-	s := &rxSnapshot{
+	// identities each cycle; a wasted snapshot for a genuinely one-shot span
+	// costs one small allocation and a slot until it is evicted.
+	c.rxSpanCache.Put(&levels[0], uint32(len(levels)), c.rxSnap())
+}
+
+// rxSnap captures the receive pipeline's state.
+func (c *Controller) rxSnap() *rxSnapshot {
+	return &rxSnapshot{
 		destuf:      c.rxDestuf,
 		bits:        cloneExact(c.rxBits),
 		crc:         c.rxCRC,
@@ -378,8 +318,33 @@ func (c *Controller) rxRun(from bus.BitTime, levels []can.Level) {
 		wire:        c.rxWire,
 		driveNext:   c.driveNext,
 	}
-	c.rxSpanCache[idx|1] = c.rxSpanCache[idx] // demote the incumbent
-	c.rxSpanCache[idx] = rxSpanSlot{ptr: &levels[0], snap: s, n: int32(len(levels))}
+}
+
+// rxAdopt restores a captured receive pipeline state into the controller's
+// own working buffers.
+func (c *Controller) rxAdopt(s *rxSnapshot) {
+	c.rxDestuf = s.destuf
+	c.rxBits = append(c.rxBits[:0], s.bits...)
+	c.rxCRC = s.crc
+	c.rxDLC = s.dlc
+	c.rxCRCOK = s.crcOK
+	c.rxTrailer = s.trailer
+	c.rxLayout = s.layout
+	c.rxLayoutKnown = s.layoutKnown
+	c.rxRemote = s.remote
+	c.rxDataLen = s.dataLen
+	c.rxAwaitStuff = s.awaitStuff
+	c.rxFD = s.fd
+	c.rxFDKnown = s.fdKnown
+	*c.rxFDCRC17 = s.fdcrc17
+	*c.rxFDCRC21 = s.fdcrc21
+	c.rxDynStuff = s.dynStuff
+	c.rxFSIdx = s.fsIdx
+	c.rxFSBNext = s.fsbNext
+	c.rxFDCRCBits = append(c.rxFDCRCBits[:0], s.fdCRCBits...)
+	c.rxLastWire = s.lastWire
+	c.rxWire = s.wire
+	c.driveNext = s.driveNext
 }
 
 // cloneExact copies a slice with cap == len, so appends by the adopter

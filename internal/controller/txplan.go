@@ -70,12 +70,13 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 	if f.FD || len(f.Data) > can.MaxDataLen {
 		return newTxPlan(f)
 	}
-	slot := planSlotIdx(&f)
-	if c.planSlots != nil {
-		if p := c.planSlots[slot]; p != nil && p.frame.Equal(&f) {
-			p.frame = f
-			return p
-		}
+	if c.planSlots == nil {
+		c.planSlots = make([]*txPlan, planSlotsMin)
+	}
+	slot := planSlotIdx(&f, uint(len(c.planSlots)-1))
+	if p := c.planSlots[slot]; p != nil && p.frame.Equal(&f) {
+		p.frame = f
+		return p
 	}
 	key := planKey{id: f.ID, reqLen: int8(f.RequestLen), dataLen: int8(len(f.Data))}
 	if f.Extended {
@@ -87,9 +88,7 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 	copy(key.data[:], f.Data)
 	if p, ok := c.planCache[key]; ok {
 		p.frame = f
-		if c.planSlots != nil {
-			c.planSlots[slot] = p
-		}
+		c.putPlanSlot(slot, p)
 		return p
 	}
 	var p *txPlan
@@ -102,31 +101,60 @@ func (c *Controller) planFor(f can.Frame) *txPlan {
 		c.planCache = make(map[planKey]*txPlan)
 	}
 	c.planCache[key] = p
-	if c.planSlots == nil {
-		c.planSlots = make([]*txPlan, 1<<planSlotBits)
-	}
-	c.planSlots[slot] = p
+	c.putPlanSlot(slot, p)
 	return p
 }
 
-// planSlotBits sizes the planFor front cache: a realistic matrix's working
-// set is tens of IDs times a 256-value rolling counter (thousands of
-// distinct frames), so the direct-mapped table is sized an order of
-// magnitude above it to keep steady-state collisions rare; a collision
-// merely falls through to the content-keyed map.
-const planSlotBits = 15
+// The planFor front cache holds its working set: it starts at planSlotsMin
+// slots and doubles whenever its live entries pass half its slots, up to
+// 2^planSlotBits. A controller that sends one message keeps a few hundred
+// slots; a restbus cycling tens of IDs through a 256-value rolling counter
+// (thousands of distinct frames) grows to keep steady-state collisions
+// rare. A collision merely falls through to the content-keyed map.
+const (
+	planSlotsMin = 1 << 8
+	planSlotBits = 15
+)
+
+// putPlanSlot stores p in the front cache and grows the table when it is
+// more than half full. The index keeps the low bits of a size-independent
+// hash, so a rehash maps distinct old slots to distinct new ones and keeps
+// every entry.
+func (c *Controller) putPlanSlot(slot uint, p *txPlan) {
+	if c.planSlots[slot] == nil {
+		c.planLive++
+	}
+	c.planSlots[slot] = p
+	if 2*c.planLive <= len(c.planSlots) || len(c.planSlots) >= 1<<planSlotBits {
+		return
+	}
+	old := c.planSlots
+	c.planSlots = make([]*txPlan, 2*len(old))
+	mask := uint(len(c.planSlots) - 1)
+	for _, q := range old {
+		if q != nil {
+			c.planSlots[planSlotIdx(&q.frame, mask)] = q
+		}
+	}
+}
+
+// MemoFootprint reports the size of the receive span memo and of the
+// transmit plan front cache.
+func (c *Controller) MemoFootprint() (rxSpans, plans bus.Footprint) {
+	return c.rxSpanCache.Footprint(), bus.Footprint{Slots: len(c.planSlots), Live: c.planLive}
+}
 
 // planSlotIdx hashes the cheap identity fields of a classical frame — ID,
 // length, and the edge payload bytes, which carry the rolling counters
-// that distinguish a periodic message's instances — into the front cache
-// (Fibonacci finalizer to spread the small-integer inputs).
-func planSlotIdx(f *can.Frame) uint {
+// that distinguish a periodic message's instances — into a front cache of
+// mask+1 slots (Fibonacci finalizer to spread the small-integer inputs).
+func planSlotIdx(f *can.Frame, mask uint) uint {
 	h := uint64(f.ID)<<20 ^ uint64(len(f.Data))<<16
 	if len(f.Data) > 0 {
 		h ^= uint64(f.Data[0])<<8 ^ uint64(f.Data[len(f.Data)-1])
 	}
 	h *= 0x9E3779B97F4A7C15
-	return uint(h>>(64-planSlotBits)) & (1<<planSlotBits - 1)
+	return uint(h>>(64-planSlotBits)) & mask
 }
 
 // newTxPlan serializes a frame for transmission.

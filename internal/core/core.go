@@ -156,8 +156,8 @@ type Defense struct {
 	tel telemetry.Probe
 
 	// scanCache memoizes pure PassiveRun scans per committed-span identity
-	// (direct-mapped; see the fast-path PassiveRun in runpath.go).
-	scanCache []scanSlot
+	// (see passiveScan in runpath.go).
+	scanCache bus.SpanTable[scanResult]
 }
 
 var _ bus.Node = (*Defense)(nil)

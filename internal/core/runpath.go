@@ -1,8 +1,6 @@
 package core
 
 import (
-	"unsafe"
-
 	"michican/internal/bus"
 	"michican/internal/can"
 	"michican/internal/fsm"
@@ -79,22 +77,7 @@ func (d *Defense) passiveScan(frameBit int, levels []can.Level, self bool) int {
 		}
 		mode = uint8(run)
 	}
-	key := &levels[0]
-	if d.scanCache == nil {
-		d.scanCache = make([]scanSlot, 1<<scanSlotBits)
-	}
-	// Two-way set-associative probe: a sticky collision pair in a
-	// direct-mapped table would rescan the full span on every probe.
-	idx := scanIdx(key, mode) &^ 1
-	s := &d.scanCache[idx]
-	if s.ptr != key || s.mode != mode {
-		alt := &d.scanCache[idx|1]
-		if alt.ptr == key && alt.mode == mode {
-			*s, *alt = *alt, *s // promote the hit to the first way
-		} else {
-			s = nil
-		}
-	}
+	s := d.scanCache.Get(&levels[0], uint32(mode))
 	// The scan is causal: whether bit j is accepted depends only on bits
 	// 0..j. A recorded stop short of the scanned length therefore holds
 	// for every span length; only "accepted everything" needs a rescan
@@ -114,38 +97,24 @@ func (d *Defense) passiveScan(frameBit int, levels []can.Level, self bool) int {
 	default:
 		n = idleScanLevels(levels, d.cntSOF)
 	}
-	if s == nil {
-		d.scanCache[idx|1] = d.scanCache[idx] // demote the incumbent
-		s = &d.scanCache[idx]
+	scan := scanResult{scanned: int32(len(levels)), stop: int32(n)}
+	if s != nil {
+		*s = scan
+	} else {
+		d.scanCache.Put(&levels[0], uint32(mode), scan)
 	}
-	*s = scanSlot{ptr: key, mode: mode, scanned: int32(len(levels)), stop: int32(n)}
 	return n
 }
 
-// scanSlot is one direct-mapped scan memo entry: span identity (the strong
-// pointer keeps the plan's backing array alive, so the address pins the
-// bits), the entry mode, the longest prefix scanned, and where the scan
-// stopped within it (== scanned when every bit stayed passive).
-type scanSlot struct {
-	ptr     *can.Level
+// MemoFootprint reports the size of the scan memo.
+func (d *Defense) MemoFootprint() bus.Footprint { return d.scanCache.Footprint() }
+
+// scanResult is one scan memo entry, keyed by span identity and entry mode:
+// the longest prefix scanned, and where the scan stopped within it
+// (== scanned when every bit stayed passive).
+type scanResult struct {
 	scanned int32
 	stop    int32
-	mode    uint8
-}
-
-// scanSlotBits sizes the memo: 2^scanSlotBits entries organised as two-way
-// sets (message set × rolling-counter rotation × a handful of entry modes;
-// collisions merely rescan). Sized generously — a realistic matrix's full
-// rotation is ~8k span identities, and round-robin rotation through a set
-// holding three or more of them would defeat the two-way LRU, rescanning
-// those spans every cycle.
-const scanSlotBits = 16
-
-// scanIdx hashes a span identity and entry mode into the memo.
-func scanIdx(p *can.Level, mode uint8) uint {
-	h := uintptr(unsafe.Pointer(p)) >> 3
-	h ^= h >> scanSlotBits
-	return uint(h^uintptr(mode)<<7) & (1<<scanSlotBits - 1)
 }
 
 const (

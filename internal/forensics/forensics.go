@@ -166,6 +166,11 @@ type errRec struct {
 // node that asserted the same SOF bit joins it; arbitration losers drop out;
 // the survivor either completes (EvTxSuccess) or is destroyed (EvError
 // followed by the wire-wide EvErrorEnd).
+//
+// The engine owns one attempt and reuses it at every SOF (see begin): its
+// maps are cleared and its slices truncated, so a frame that closes no
+// incident allocates nothing. Nothing the fold keeps may alias this scratch
+// — closing an attempt copies TEC steps and builds fresh causality links.
 type attempt struct {
 	start int64
 	// tx maps each surviving transmitter to the CAN ID it is sending
@@ -189,13 +194,20 @@ type attempt struct {
 	stray bool
 	errs  []errRec
 	// destroyed flips on the first EvError inside the attempt.
-	destroyed  bool
-	detects    []detectRec
-	pulls      []pullRec
-	tec        map[telemetry.NodeID][]TECStep
+	destroyed bool
+	detects   []detectRec
+	pulls     []pullRec
+	// tec holds the transmitters' TEC steps in fold order.
+	tec        []tecRec
 	busOff     bool
 	busOffNode telemetry.NodeID
 	busOffAt   int64
+}
+
+// tecRec is one transmitter's TEC step observed inside an attempt.
+type tecRec struct {
+	node telemetry.NodeID
+	step TECStep
 }
 
 // incidentState is an Incident under construction plus the working state
@@ -226,7 +238,10 @@ type Engine struct {
 	seq    telemetry.Sequencer
 	names  map[telemetry.NodeID]string
 
+	// cur is the attempt under reconstruction: nil between attempts, else
+	// &scratch.
 	cur         *attempt
+	scratch     attempt
 	open        map[int64]*incidentState
 	closed      []*incidentState
 	recovery    map[telemetry.NodeID]*incidentState
@@ -284,6 +299,8 @@ func New(h *telemetry.Hub) *Engine {
 		firstDetect:  -1,
 		endAt:        -1,
 	}
+	e.scratch.tx = make(map[telemetry.NodeID]int64, 2)
+	e.scratch.deadTx = make(map[telemetry.NodeID]bool, 2)
 	e.seq.Emit = e.fold
 	return e
 }
@@ -487,9 +504,7 @@ func (e *Engine) closeWireAttempt(c *attempt, errorEnd int64) {
 		// never counts.
 		if c.busOff && idKnown {
 			if st := e.open[id]; st != nil {
-				for node, steps := range c.tec {
-					st.tecByNode[node] = append(st.tecByNode[node], steps...)
-				}
+				c.copyTEC(st)
 				e.attachBusOff(st, c)
 			}
 		}
@@ -549,18 +564,7 @@ func (e *Engine) fold(ev telemetry.Event) {
 			e.cur = nil
 		}
 		if e.cur == nil {
-			// deadTx and tec stay nil until an error actually happens: on a
-			// healthy bus every frame opens an attempt, and this allocation
-			// is the live engine's per-frame cost.
-			e.cur = &attempt{
-				start: ev.Time,
-				tx:    make(map[telemetry.NodeID]int64, 2),
-				// The trace decoder credits a decoded frame's recessive tail
-				// (ACK delimiter + EOF) as 8 idle bits and demands 11 before
-				// a SOF: a SOF within 3 bits of a frame's end is skipped as
-				// stray noise and never becomes an episode.
-				stray: ev.Time <= e.wireFrameEnd+3,
-			}
+			e.begin(ev.Time)
 		}
 		e.cur.tx[ev.Node] = ev.A
 
@@ -598,9 +602,6 @@ func (e *Engine) fold(ev telemetry.Event) {
 			c.destroyed = true
 			rec := errRec{node: ev.Node, at: ev.Time, kind: ev.A, tx: ev.B == 1}
 			if rec.tx {
-				if c.deadTx == nil {
-					c.deadTx = make(map[telemetry.NodeID]bool, 2)
-				}
 				c.deadTx[ev.Node] = true
 			}
 			// The ISO passive-ACK exception bumps no counter, so no
@@ -656,10 +657,7 @@ func (e *Engine) fold(ev telemetry.Event) {
 		if c := e.cur; c != nil {
 			e.resolveErrs(c, ev.Node, ev.Time)
 			if _, ok := c.tx[ev.Node]; ok {
-				if c.tec == nil {
-					c.tec = make(map[telemetry.NodeID][]TECStep, 1)
-				}
-				c.tec[ev.Node] = append(c.tec[ev.Node], TECStep{At: ev.Time, Value: ev.A, Prev: ev.B})
+				c.tec = append(c.tec, tecRec{node: ev.Node, step: TECStep{At: ev.Time, Value: ev.A, Prev: ev.B}})
 			}
 		}
 
@@ -688,6 +686,37 @@ func (e *Engine) fold(ev telemetry.Event) {
 				ChainLink{At: ev.Time, Node: e.nodeName(ev.Node), Step: "recover"})
 			delete(e.recovery, ev.Node)
 		}
+	}
+}
+
+// begin opens the attempt of a SOF at the given bit time in the engine's
+// scratch, clearing what the previous attempt left there.
+func (e *Engine) begin(at int64) {
+	c := &e.scratch
+	clear(c.tx)
+	clear(c.deadTx)
+	*c = attempt{
+		start: at,
+		tx:    c.tx,
+		// The trace decoder credits a decoded frame's recessive tail (ACK
+		// delimiter + EOF) as 8 idle bits and demands 11 before a SOF: a
+		// SOF within 3 bits of a frame's end is skipped as stray noise and
+		// never becomes an episode.
+		stray:   at <= e.wireFrameEnd+3,
+		deadTx:  c.deadTx,
+		errs:    c.errs[:0],
+		detects: c.detects[:0],
+		pulls:   c.pulls[:0],
+		tec:     c.tec[:0],
+	}
+	e.cur = c
+}
+
+// copyTEC appends the attempt's TEC steps to the incident's per-node
+// trajectories.
+func (c *attempt) copyTEC(st *incidentState) {
+	for _, r := range c.tec {
+		st.tecByNode[r.node] = append(st.tecByNode[r.node], r.step)
 	}
 }
 
@@ -726,9 +755,7 @@ func (e *Engine) closeDestroyed(c *attempt, id int64, end int64) {
 	for node := range c.tx {
 		st.destroyedBy[node]++
 	}
-	for node, steps := range c.tec {
-		st.tecByNode[node] = append(st.tecByNode[node], steps...)
-	}
+	c.copyTEC(st)
 	det := e.idDet[id]
 	if det == nil {
 		det = &stats.Accumulator{}
@@ -766,13 +793,15 @@ func (e *Engine) attachBusOff(st *incidentState, c *attempt) {
 	inc.BusOffAt = c.busOffAt
 	inc.Eradicated = true
 	st.busOffNode = c.busOffNode
-	if steps := c.tec[c.busOffNode]; len(steps) > 0 {
-		last := steps[len(steps)-1]
-		inc.Causality = append(inc.Causality, ChainLink{
-			At:   last.At,
-			Node: e.nodeName(c.busOffNode),
-			Step: fmt.Sprintf("tec %d→%d", last.Prev, last.Value),
-		})
+	for i := len(c.tec) - 1; i >= 0; i-- {
+		if r := c.tec[i]; r.node == c.busOffNode {
+			inc.Causality = append(inc.Causality, ChainLink{
+				At:   r.step.At,
+				Node: e.nodeName(c.busOffNode),
+				Step: fmt.Sprintf("tec %d→%d", r.step.Prev, r.step.Value),
+			})
+			break
+		}
 	}
 	inc.Causality = append(inc.Causality,
 		ChainLink{At: c.busOffAt, Node: e.nodeName(c.busOffNode), Step: "bus_off"})
@@ -830,15 +859,27 @@ func (e *Engine) resolve(st *incidentState) Incident {
 	if found {
 		inc.Attacker = e.nodeName(attacker)
 		inc.TEC = append([]TECStep(nil), st.tecByNode[attacker]...)
-		for _, s := range e.successes[int64(inc.ID)] {
-			if s.node == attacker && s.at >= inc.Start && s.at <= inc.End {
-				inc.FramesLeaked++
-			}
-		}
+		inc.FramesLeaked = leaked(e.successes[int64(inc.ID)], attacker, inc.Start, inc.End)
 	}
 	inc.DetectionBits = st.detAcc.Summarize()
 	inc.Causality = append([]ChainLink(nil), st.inc.Causality...)
 	return inc
+}
+
+// leaked counts the node's completed frames in [start, end]. The fold runs
+// in canonical time order, so log is sorted by time: the count binary-
+// searches the window instead of walking the ID's whole history.
+func leaked(log []successRec, node telemetry.NodeID, start, end int64) int {
+	n := 0
+	for _, s := range log[sort.Search(len(log), func(i int) bool { return log[i].at >= start }):] {
+		if s.at > end {
+			break
+		}
+		if s.node == node {
+			n++
+		}
+	}
+	return n
 }
 
 // incidentsLocked resolves closed (and optionally open) incidents sorted by
